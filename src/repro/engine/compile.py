@@ -20,12 +20,20 @@ the paper queries and the generated workload.
 Subqueries are delegated to the ``subquery_runner`` callback — the
 executor supplies one that memoizes correlated subqueries on their outer
 values, which is what makes the nested paper queries (Q5/Q6/Q7) cheap.
+IN, ALL, ANY and scalar subqueries read the result through a
+:class:`ProbeSummary` that a memoised result builds once: its
+first-column values and, for results of more than a few values, a NULL
+flag, the distinct set and, for one orderable kind, ``min``/``max``.
+Each outer row then costs a set probe or one comparison instead of a
+pass over the inner rows.  Whatever a summary cannot decide exactly
+falls back to the evaluator's linear loop.
 """
 
 from __future__ import annotations
 
+import datetime
 import operator
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.evaluator import SubqueryRunner, compare_values, like_regex
 from repro.errors import EvaluationError
@@ -466,42 +474,32 @@ class ExpressionCompiler:
 
         return runner
 
-    def _compile_subquery_values(
-        self, select: ast.SelectStatement
-    ) -> Callable[[Row], List[Any]]:
+    def _compile_summary(self, select: ast.SelectStatement) -> Callable[[Row], "ProbeSummary"]:
         runner = self._runner()
-
-        def run(row: Row) -> List[Any]:
-            values: List[Any] = []
-            for sub_row in runner(select, row):
-                raw = sub_row.raw
-                if not raw:
-                    continue
-                values.append(raw[next(iter(raw))])
-            return values
-
-        return run
+        return lambda row: probe_summary(runner(select, row))
 
     def _compile_in_subquery(self, e: ast.InSubquery) -> CompiledExpr:
         value_fn = self.compile(e.operand)
-        values_fn = self._compile_subquery_values(e.subquery)
+        summary_fn = self._compile_summary(e.subquery)
         negated = e.negated
 
         def run(row: Row) -> Any:
             value = value_fn(row)
             if value is None:
                 return None
-            values = values_fn(row)
-            found = value in [v for v in values if v is not None]
-            if not found and any(v is None for v in values):
-                result: Any = None
+            summary = summary_fn(row)
+            members = summary.members
+            if members is not None and type(value) in _PROBE_TYPES:
+                found = value in members
+                has_null = summary.has_null
             else:
-                result = found
-            if negated:
-                if result is None:
-                    return None
-                return not result
-            return result
+                values = summary.values
+                present = [v for v in values if v is not None]
+                found = value in present
+                has_null = len(present) < len(values)
+            if not found and has_null:
+                return None
+            return not found if negated else found
 
         return run
 
@@ -521,38 +519,31 @@ class ExpressionCompiler:
 
     def _compile_quantified(self, e: ast.QuantifiedComparison) -> CompiledExpr:
         value_fn = self.compile(e.operand)
-        values_fn = self._compile_subquery_values(e.subquery)
+        summary_fn = self._compile_summary(e.subquery)
         op = e.op
         is_all = e.quantifier.upper() == "ALL"
+        probe = _quantified_probe(op, is_all)
 
         def run(row: Row) -> Any:
             value = value_fn(row)
-            values = values_fn(row)
-            if is_all:
-                if not values:
-                    return True
-                results = [compare_values(op, value, v) for v in values]
-                if any(r is False for r in results):
-                    return False
-                if any(r is None for r in results):
-                    return None
-                return True
+            summary = summary_fn(row)
+            values = summary.values
             if not values:
-                return False
-            results = [compare_values(op, value, v) for v in values]
-            if any(r is True for r in results):
-                return True
-            if any(r is None for r in results):
+                return is_all
+            if value is None:
                 return None
-            return False
+            result = probe(summary, value)
+            if result is not _UNDECIDED:
+                return result
+            return _quantified_linear(op, is_all, value, values)
 
         return run
 
     def _compile_scalar_subquery(self, e: ast.ScalarSubquery) -> CompiledExpr:
-        values_fn = self._compile_subquery_values(e.subquery)
+        summary_fn = self._compile_summary(e.subquery)
 
         def run(row: Row) -> Any:
-            values = values_fn(row)
+            values = summary_fn(row).values
             if not values:
                 return None
             if len(values) > 1:
@@ -560,6 +551,159 @@ class ExpressionCompiler:
             return values[0]
 
         return run
+
+
+# ---------------------------------------------------------------------------
+# Probe summaries: set-at-a-time subquery predicates
+# ---------------------------------------------------------------------------
+
+#: Value types whose equality agrees with their hash and with ``==``
+#: under :func:`compare_values`, so a frozenset probe decides IN and
+#: ``= ANY`` exactly.  Matched by exact type (``datetime`` is not a date).
+_PROBE_TYPES = frozenset({int, float, bool, str, datetime.date})
+
+#: Orderable kinds: every pair of values inside one kind compares
+#: without ``TypeError`` and (NaN aside) totally, so ``min``/``max``
+#: stand for the whole set.
+_ORDER_KINDS = {int: "number", bool: "number", float: "number", str: "string"}
+
+#: Returned by a probe that cannot decide exactly; the caller falls back
+#: to the linear loop, which is the evaluator's own semantics.
+_UNDECIDED = object()
+
+#: Results of at most this many values are not indexed.  For them the
+#: index (3-4 µs to build on a 2-vCPU Xeon guest, Python 3.11) costs more
+#: than one linear pass (~2 µs), and a correlated result probed only
+#: once, on a memo miss, would pay it in full.
+_LINEAR_MAX = 8
+
+
+class ProbeSummary:
+    """What IN / ALL / ANY / scalar predicates need from one subquery result.
+
+    ``values`` are the first-column values in row order (rows without
+    columns are skipped, as the evaluator does).  A result of more than
+    :data:`_LINEAR_MAX` values is also indexed: ``has_null``, and
+    ``members``, the frozenset of the non-NULL values, unless one of
+    them is not of a :data:`_PROBE_TYPES` type.  ``low``/``high`` are
+    set only when ``kind`` names one orderable kind shared by every
+    non-NULL value (numbers without NaN, or strings).  Predicates over
+    an unindexed result take the linear loop.
+    """
+
+    __slots__ = ("values", "has_null", "members", "kind", "low", "high")
+
+    def __init__(self, rows: Iterable[Row]) -> None:
+        values = []
+        for row in rows:
+            raw = row.raw
+            if raw:
+                values.append(raw[next(iter(raw))])
+        self.values = values
+        self.has_null = False
+        self.members: Optional[frozenset] = None
+        self.kind: Optional[str] = None
+        self.low = self.high = None
+        if len(values) <= _LINEAR_MAX:
+            return
+        present = [v for v in values if v is not None]
+        self.has_null = len(present) < len(values)
+        types = set(map(type, present))
+        if not types <= _PROBE_TYPES:
+            return
+        members = self.members = frozenset(present)
+        kinds = {_ORDER_KINDS.get(t) for t in types}
+        if len(kinds) != 1 or None in kinds:
+            return
+        if float in types and any(v != v for v in members):
+            return  # NaN orders against nothing
+        self.kind = kinds.pop()
+        self.low, self.high = min(members), max(members)
+
+
+class SubqueryRows(list):
+    """A memoised subquery result that carries its probe summary.
+
+    The summary is built on first use from the rows the memo already
+    holds, and lives and dies with the memo entry.
+    """
+
+    # No ``__init__``: construction stays list's own, and the slot is
+    # unset until the first :meth:`summary` call.
+    __slots__ = ("_summary",)
+
+    def summary(self) -> ProbeSummary:
+        summary = getattr(self, "_summary", None)
+        if summary is None:
+            summary = self._summary = ProbeSummary(self)
+        return summary
+
+
+def probe_summary(rows: Iterable[Row]) -> ProbeSummary:
+    """The summary of a subquery result: memoised ones carry theirs."""
+    if type(rows) is SubqueryRows:
+        return rows.summary()
+    return ProbeSummary(rows)
+
+
+def _quantified_probe(op: str, is_all: bool) -> Callable[[ProbeSummary, Any], Any]:
+    """``(summary, value) -> result`` for ``value op ALL|ANY (subquery)``.
+
+    Called with a non-NULL ``value`` and a non-empty result; returns
+    :data:`_UNDECIDED` where only the linear loop is exact (an operand
+    of another kind than the set, NaN, values outside the probe types)
+    and for results the summary did not index.
+    """
+    if op in ("=", "<>"):
+        membership = (op == "=") != is_all  # = ANY and <> ALL
+
+        def probe_equality(summary: ProbeSummary, value: Any) -> Any:
+            members = summary.members
+            if not members or type(value) not in _PROBE_TYPES or value != value:
+                return _UNDECIDED
+            if membership:
+                decided = value in members
+            else:
+                # Two distinct values cannot both equal ``value``, so one
+                # comparison is False (= ALL) or True (<> ANY).
+                decided = len(members) > 1 or value not in members
+            if decided:
+                return not is_all
+            if summary.has_null:
+                return None
+            return is_all
+
+        return probe_equality
+
+    compare = _COMPARISONS[op]
+    # ``value op x`` for every x reduces to the bound that is hardest to
+    # satisfy (ALL) or easiest (ANY).
+    use_high = (op in (">", ">=")) == is_all
+
+    def probe_order(summary: ProbeSummary, value: Any) -> Any:
+        kind = summary.kind
+        if kind is None or _ORDER_KINDS.get(type(value)) != kind or value != value:
+            return _UNDECIDED
+        if compare(value, summary.high if use_high else summary.low) != is_all:
+            return not is_all
+        if summary.has_null:
+            return None
+        return is_all
+
+    return probe_order
+
+
+def _quantified_linear(op: str, is_all: bool, value: Any, values: List[Any]) -> Any:
+    """The evaluator's per-value loop (raises ``EvaluationError`` alike)."""
+    results = [compare_values(op, value, v) for v in values]
+    if is_all:
+        if any(r is False for r in results):
+            return False
+    elif any(r is True for r in results):
+        return True
+    if any(r is None for r in results):
+        return None
+    return is_all
 
 
 # ---------------------------------------------------------------------------

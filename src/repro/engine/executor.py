@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.engine.compile import CompiledExpr, ExpressionCompiler
+from repro.engine.compile import CompiledExpr, ExpressionCompiler, SubqueryRows
 from repro.engine.evaluator import ExpressionEvaluator
 from repro.engine.parameterised import (
     UNPARAMETERISABLE,
@@ -54,7 +54,12 @@ from repro.engine.plan import (
 )
 from repro.engine.result import DmlResult, QueryResult
 from repro.engine.vector import VectorExpressionCompiler, VectorUnsupported
-from repro.errors import EvaluationError, UnknownAttributeError, UnsupportedQueryError
+from repro.errors import (
+    EvaluationError,
+    ReproError,
+    UnknownAttributeError,
+    UnsupportedQueryError,
+)
 from repro.oracle import resolve_compiled_default
 from repro.sql import ast
 from repro.sql.parser import parse_sql
@@ -66,8 +71,10 @@ from repro.utils.cache import LRUCache
 
 _EMPTY_ROW = Row({})
 
-#: How many memoized subquery results to hold before dropping them all.
-_SUBQUERY_MEMO_LIMIT = 100_000
+#: How many subquery result rows the memo may hold (an empty result
+#: counts as one) before it drops them all.  A result larger than this
+#: on its own is not memoized.
+_SUBQUERY_MEMO_ROWS = 200_000
 
 #: Returned by the parameterised fast path when the text must take the
 #: per-text pipeline instead (never escapes ``execute_sql``).
@@ -176,8 +183,10 @@ class Executor:
         self._parse_cache: LRUCache = LRUCache(parse_cache_size)
         self._plan_cache: LRUCache = LRUCache(plan_cache_size)
         self._scan_cache: Dict[Tuple[str, str], Tuple[int, List[Row]]] = {}
-        self._subquery_memo: Dict[int, Tuple[ast.SelectStatement, Dict[Any, List[Row]]]] = {}
+        self._subquery_memo: Dict[int, Tuple[ast.SelectStatement, Dict[Any, SubqueryRows]]] = {}
         self._subquery_entries = 0
+        self._subquery_rows = 0
+        self.precompile_failures = 0
         self.subquery_hits = 0
         self.subquery_misses = 0
         self._corr_info: Dict[int, Tuple[ast.SelectStatement, _CorrelationInfo]] = {}
@@ -263,8 +272,10 @@ class Executor:
                 "hits": self.subquery_hits,
                 "misses": self.subquery_misses,
                 "entries": self._subquery_entries,
+                "rows": self._subquery_rows,
             },
             "scan_tables": len(self._scan_cache),
+            "precompile_failures": self.precompile_failures,
         }
 
     def captured_shapes(self) -> List[str]:
@@ -287,8 +298,10 @@ class Executor:
 
         Only plain SELECTs are replayed (parameterised plans cover nothing
         else, and replaying a mutation would change data); each runs once,
-        compiling its shared plan.  Texts that fail are skipped.  Returns
-        how many texts replayed cleanly.
+        compiling its shared plan.  Texts that fail with a
+        :class:`ReproError` are skipped and counted as
+        ``precompile_failures`` in :attr:`cache_stats`; any other
+        exception propagates.  Returns how many texts replayed cleanly.
         """
         replayed = 0
         for sql in shapes:
@@ -296,7 +309,8 @@ class Executor:
                 continue
             try:
                 self.execute_sql(sql)
-            except Exception:
+            except ReproError:
+                self.precompile_failures += 1
                 continue
             replayed += 1
         return replayed
@@ -398,8 +412,13 @@ class Executor:
 
     def _clear_data_caches(self) -> None:
         self._scan_cache.clear()
+        self._clear_subquery_memo()
+
+    def _clear_subquery_memo(self) -> None:
+        # Probe summaries live on the memoised results, so they go too.
         self._subquery_memo.clear()
         self._subquery_entries = 0
+        self._subquery_rows = 0
 
     def invalidate_caches(self) -> None:
         """Drop every cache, including the data-independent ones.
@@ -930,15 +949,21 @@ class Executor:
         if cached is not None:
             self.subquery_hits += 1
             return cached
-        rows = self.execute_select(statement, outer_row=outer_row).rows
+        # Planned and run as execute_select does, but collected straight
+        # into the memo's row type (the enclosing statement validated the caches).
+        plan = self._plan_select(statement)[0]
+        rows = SubqueryRows(self._run_node(plan.root, outer_row))
         self.subquery_misses += 1
-        self._subquery_entries += 1
-        if self._subquery_entries > _SUBQUERY_MEMO_LIMIT:
-            self._subquery_memo.clear()
-            self._subquery_entries = 1
+        held = max(1, len(rows))
+        if held > _SUBQUERY_MEMO_ROWS:
+            return rows
+        if self._subquery_rows + held > _SUBQUERY_MEMO_ROWS:
+            self._clear_subquery_memo()
             entry = (statement, {})
             self._subquery_memo[id(statement)] = entry
             cache = entry[1]
+        self._subquery_entries += 1
+        self._subquery_rows += held
         cache[key] = rows
         return rows
 

@@ -7,12 +7,16 @@ fully-interpreted one on the paper queries and the generated workload;
 (3) every cache layer is actually used and is invalidated by DML.
 """
 
+import datetime
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.engine.executor as executor_module
 from repro.datasets import PAPER_QUERIES, generate_workload, movie_database
 from repro.engine import Executor, ExpressionCompiler, ExpressionEvaluator
+from repro.engine.compile import _LINEAR_MAX, SubqueryRows
 from repro.engine.plan import ScanNode, plan_query
 from repro.errors import EvaluationError
 from repro.sql.parser import parse_select
@@ -174,6 +178,93 @@ def test_property_compiled_matches_interpreted_on_random_rows(x, y):
         assert (compiled_value is None) == (interpreted_value is None), text
 
 
+# Subquery predicates: the compiled probe-summary paths against the
+# evaluator's linear loop, over first-column lists of every kind mix.
+_SUBQUERY_PREDICATES = [
+    f"x {op} {quantifier} (select t.v from T t)"
+    for op in ("=", "<>", "<", "<=", ">", ">=")
+    for quantifier in ("all", "any")
+] + ["x in (select t.v from T t)", "x not in (select t.v from T t)"]
+
+_VALUE_KINDS = [
+    st.integers(min_value=-3, max_value=3),
+    st.one_of(
+        st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.5, 2.0]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    st.booleans(),
+    st.sampled_from(["", "a", "ab", "b"]),
+    st.dates(min_value=datetime.date(2000, 1, 1), max_value=datetime.date(2000, 1, 3)),
+]
+_SUBQUERY_COLUMNS = st.one_of(
+    *[st.lists(st.one_of(st.none(), kind), max_size=6) for kind in _VALUE_KINDS],
+    st.lists(st.one_of(st.none(), *_VALUE_KINDS), max_size=6),
+)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except EvaluationError:
+        return EvaluationError
+
+
+def _assert_probes_match(x, values):
+    # Repeating the values keeps their distinct set and NULLs but takes
+    # the result past the size below which it is not indexed.
+    _assert_probes_match_once(x, values)
+    if values:
+        _assert_probes_match_once(x, values * (_LINEAR_MAX // len(values) + 1))
+
+
+def _assert_probes_match_once(x, values):
+    row = Row({"x": x})
+    sub_rows = [Row({"t.v": v}) for v in values]
+    memoised = SubqueryRows(sub_rows)
+    oracle = ExpressionEvaluator(subquery_runner=lambda select, outer: list(sub_rows))
+    through_memo = ExpressionCompiler(subquery_runner=lambda select, outer: memoised)
+    per_call = ExpressionCompiler(subquery_runner=lambda select, outer: list(sub_rows))
+    for text in _SUBQUERY_PREDICATES:
+        expression = parse_select(f"select {text}").select_items[0].expression
+        expected = _outcome(lambda: oracle.evaluate(expression, row))
+        assert expected in (True, False, None, EvaluationError), text
+        for compiler in (through_memo, per_call, through_memo):
+            fn = compiler.compile(expression)
+            assert _outcome(lambda: fn(row)) is expected, (text, x, values)
+
+
+@given(values=_SUBQUERY_COLUMNS, data=st.data())
+def test_property_subquery_probes_match_interpreted(values, data):
+    # The operand is sometimes one of the very values (the same NaN
+    # object included), otherwise NULL or any kind, matching or not.
+    operands = st.one_of(st.none(), *_VALUE_KINDS)
+    if values:
+        operands = st.one_of(operands, st.sampled_from(values))
+    _assert_probes_match(data.draw(operands), values)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "x, values",
+    [
+        (_NAN, [_NAN]),  # IN sees the same object; = ALL / = ANY compare it unequal
+        (_NAN, [_NAN, None]),
+        (1, [_NAN, 1]),
+        (1, [1, 1.0, True]),
+        (2, [1, "a"]),  # ordering raises, equality does not
+        ("a", [None, None]),
+        (None, []),
+        (datetime.date(2000, 1, 1), [datetime.datetime(2000, 1, 1)]),
+        (datetime.date(2000, 1, 2), [datetime.date(2000, 1, 1), None]),
+        (float("inf"), [float("-inf"), 3, None]),
+    ],
+)
+def test_subquery_probe_edge_cases_match_interpreted(x, values):
+    _assert_probes_match(x, values)
+
+
 # ---------------------------------------------------------------------------
 # Executor-level equivalence (paper queries + generated workload)
 # ---------------------------------------------------------------------------
@@ -312,9 +403,55 @@ def test_update_through_executor_invalidates_subquery_memo(db):
         "select g.genre from GENRE g where g.mid in "
         "(select m.id from MOVIES m where m.year = 1888)"
     )
+    newest = (
+        "select m.title from MOVIES m where m.year >= all "
+        "(select m2.year from MOVIES m2)"
+    )
     assert executor.execute_sql(sql).row_count == 0
+    assert executor.execute_sql(newest).column("m.title") == ["Match Point"]
     executor.execute_sql("update MOVIES set year = 1888 where id = 1")
     assert executor.execute_sql(sql).row_count == 2  # Match Point's two genres
+    # Raising the subquery's max must not reuse the memoised probe summary.
+    titles = sorted(executor.execute_sql(newest).column("m.title"))
+    assert titles == ["Melinda and Melinda", "Troy"]
+    executor.execute_sql("update MOVIES set year = 2100 where id = 5")
+    assert executor.execute_sql(newest).column("m.title") == ["Seven"]
+
+
+def test_subquery_memo_row_limit_clears_and_stays_correct(db, monkeypatch):
+    # Each actor's roles in their highest-numbered movie: correlated on
+    # c.aid, with several rows per inner result.
+    sql = (
+        "select c.role from CAST c where c.mid >= all "
+        "(select c2.mid from CAST c2 where c2.aid = c.aid)"
+    )
+    expected = sorted(interpreted(db).execute_sql(sql).column("c.role"))
+
+    def run():
+        # Twice on one executor: an unbounded memo serves the second run
+        # from its entries alone.
+        executor = Executor(db, compiled=True, use_caches=True, index_scans=True)
+        first = sorted(executor.execute_sql(sql).column("c.role"))
+        assert sorted(executor.execute_sql(sql).column("c.role")) == first
+        return first, executor.cache_stats["subquery"]
+
+    roles, unbounded = run()
+    assert roles == expected
+    monkeypatch.setattr(executor_module, "_SUBQUERY_MEMO_ROWS", 3)
+    roles, bounded = run()
+    assert roles == expected
+    assert bounded["rows"] <= 3
+    # Cleared entries were recomputed when their keys came round again.
+    assert bounded["misses"] > unbounded["misses"] == unbounded["entries"]
+
+
+def test_precompile_counts_failing_texts(db):
+    executor = Executor(db)
+    replayed = executor.precompile(
+        ["select m.nope from MOVIES m", "select from", "select m.title from MOVIES m"]
+    )
+    assert replayed == 1
+    assert executor.cache_stats["precompile_failures"] == 2
 
 
 def test_delete_through_executor_invalidates_caches(db):
